@@ -75,7 +75,7 @@ sets are exact in every mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,6 +101,11 @@ class RepairReport:
     exact IC path a flagged set survives unchanged when its conditional
     coin keeps the old outcome).  ``exact`` distinguishes the
     distribution-exact IC trace repair from the resampling path.
+
+    ``changed_ids`` holds the sorted ids of those ``num_affected`` sets;
+    every other set keeps its stored bytes.  It is what a
+    :class:`~repro.sketch.index.SketchIndex` patches its postings from, and
+    it stays out of :meth:`as_dict` (the wire payload).
     """
 
     op: str
@@ -113,6 +118,8 @@ class RepairReport:
     used_traces: bool
     num_candidates: int = 0
     exact: bool = False
+    changed_ids: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64), compare=False, repr=False)
 
     @property
     def affected_fraction(self) -> float:
@@ -429,6 +436,7 @@ def _repair_ic_exact(collection: FlatRRCollection, delta: GraphDelta,
         num_patched=num_patched,
         used_traces=True,
         exact=True,
+        changed_ids=affected,
     )
     return repaired, report
 
@@ -551,5 +559,6 @@ def repair_collection(collection: FlatRRCollection, delta: GraphDelta, sampler,
         num_patched=num_patched,
         used_traces=collection.has_traces,
         exact=False,
+        changed_ids=affected.astype(np.int64, copy=False),
     )
     return repaired, report

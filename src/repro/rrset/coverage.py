@@ -4,9 +4,19 @@ Given sampled RR sets, pick ``k`` nodes covering as many sets as possible.
 The standard greedy gives the ``(1 - 1/e)`` guarantee [29]; the solvers here
 all run on the *flat* CSR layout (``ptr``/``nodes`` arrays, see
 :mod:`repro.rrset.flat_collection`): per-node cover counts live in one int64
-array, the node → set membership map is a CSR inverted index, and each round
-is an ``argmax`` plus a vectorised count-decrement instead of the former
-``O(k·n)`` Python scans.
+array, the node → set membership map is a CSR inverted index (the
+*postings*), and each round is an ``argmax`` plus a vectorised
+count-decrement instead of the former ``O(k·n)`` Python scans.
+
+This module owns the postings format: ``inv_ptr`` (int64, ``n + 1``) and
+``inv_sets`` (int64 set ids, ascending within each node).  Equivalently the
+postings are the sorted composite keys ``node·θ + set_id``, which is how
+:func:`_inverted_index` builds them in one sort.  A
+:class:`~repro.sketch.index.SketchIndex` builds them once and keeps them
+current: :func:`_append_postings` merges newly appended sets in one linear
+scatter, and :func:`_patch_postings` swaps the pairs of sets a repair
+rewrote, given as the same keys (:func:`_pair_keys`).  Either result is
+byte-identical to a fresh build.
 
 * :func:`greedy_max_coverage` — the *linear-time exact* greedy the paper
   cites: ``k`` rounds of true argmax over live cover counts.
@@ -110,14 +120,110 @@ def _decrement(counts: np.ndarray, members: np.ndarray, num_nodes: int) -> None:
 def _inverted_index(
     ptr: np.ndarray, nodes: np.ndarray, num_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR map node → ids of the sets containing it."""
+    """CSR map node → ids of the sets containing it (ascending per node).
+
+    One ``np.sort`` of int64 keys ``node·θ + set_id``, built in place: key
+    order is (node, set id), exactly the order a stable argsort of ``nodes``
+    gives, so ``key % θ`` is the postings' set-id column.
+    """
     num_sets = ptr.size - 1
-    set_of_entry = np.repeat(np.arange(num_sets, dtype=np.int64), np.diff(ptr))
-    order = np.argsort(nodes, kind="stable")
-    inv_sets = set_of_entry[order]
+    require(int(num_nodes) * num_sets <= np.iinfo(np.int64).max,
+            f"postings keys overflow int64: {num_nodes} nodes x {num_sets} sets")
     inv_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(nodes, minlength=num_nodes), out=inv_ptr[1:])
-    return inv_ptr, inv_sets
+    if num_sets == 0:
+        return inv_ptr, np.empty(0, dtype=np.int64)
+    keys = nodes.astype(np.int64)  # a copy: the collection may be read-only
+    keys *= num_sets
+    keys += np.repeat(np.arange(num_sets, dtype=np.int64), np.diff(ptr))
+    keys.sort()
+    np.remainder(keys, num_sets, out=keys)
+    return inv_ptr, keys
+
+
+def _insert_before(base: np.ndarray, before: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``base`` with each ``values[i]`` inserted just before ``base[before[i]]``.
+
+    ``before`` must be non-decreasing; equal positions keep ``values``'
+    order.  One linear scatter — nothing in ``base`` is compared or sorted.
+    """
+    at = before + np.arange(values.size, dtype=np.int64)
+    out = np.empty(base.size + values.size, dtype=np.int64)
+    slot = np.ones(out.size, dtype=bool)
+    slot[at] = False
+    out[at] = values
+    out[slot] = base
+    return out
+
+
+def _append_postings(
+    inv_ptr: np.ndarray, inv_sets: np.ndarray, ptr: np.ndarray, nodes: np.ndarray,
+    first_id: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Postings after appending the sets ``ptr``/``nodes`` as ids ``first_id, ...``.
+
+    New ids exceed every stored one, so each node's new postings go after
+    its old ones: the batch is indexed on its own and scattered into place.
+    """
+    add_ptr, add_sets = _inverted_index(ptr, nodes, inv_ptr.size - 1)
+    add_sets += first_id
+    before = np.repeat(inv_ptr[1:], np.diff(add_ptr))
+    return inv_ptr + add_ptr, _insert_before(inv_sets, before, add_sets)
+
+
+def _segment_rank(values: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  targets: np.ndarray) -> np.ndarray:
+    """Per query ``i``: how many of the ascending run ``values[lo[i]:hi[i]]``
+    are below ``targets[i]`` (one vectorised binary search over all runs)."""
+    start = lo
+    lo, hi = lo.copy(), hi.copy()
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        mid = (lo[live] + hi[live]) // 2
+        below = values[mid] < targets[live]
+        lo[live[below]] = mid[below] + 1
+        hi[live[~below]] = mid[~below]
+        live = live[lo[live] < hi[live]]
+    return lo - start
+
+
+def _pair_keys(ptr: np.ndarray, nodes: np.ndarray, set_ids: np.ndarray,
+               num_sets: int) -> np.ndarray:
+    """Sorted keys ``node·num_sets + set_id`` of the member pairs of ``set_ids``."""
+    keys = _gather_members(ptr, nodes, set_ids).astype(np.int64)
+    keys *= num_sets
+    keys += np.repeat(set_ids, ptr[set_ids + 1] - ptr[set_ids])
+    keys.sort()
+    return keys
+
+
+def _patch_postings(
+    inv_ptr: np.ndarray, inv_sets: np.ndarray, changed: np.ndarray,
+    removed: np.ndarray, added: np.ndarray, num_sets: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Postings after the sets ``changed`` were rewritten.
+
+    ``num_sets`` is the number of sets the postings cover; ``removed`` and
+    ``added`` are the :func:`_pair_keys` of the changed sets' members as
+    the postings hold them and as they are now.  Every (node, set) pair of
+    a changed set is dropped, the new pairs are inserted in key order, and
+    every other posting keeps its relative place.
+    """
+    num_nodes = inv_ptr.size - 1
+    dropped = np.zeros(num_sets, dtype=bool)
+    dropped[changed] = True
+    kept = inv_sets[~dropped[inv_sets]]
+    add_nodes, add_sets = np.divmod(added, num_sets)
+    # Kept postings below key (v, s): v's postings below s, plus every
+    # posting of a smaller node, minus the dropped pairs below the key.
+    old_below = _segment_rank(inv_sets, inv_ptr[add_nodes], inv_ptr[add_nodes + 1], add_sets)
+    before = inv_ptr[add_nodes] + old_below - np.searchsorted(removed, added)
+    shift = (np.bincount(add_nodes, minlength=num_nodes)
+             - np.bincount(removed // num_sets, minlength=num_nodes))
+    new_ptr = inv_ptr.copy()
+    np.cumsum(shift, out=shift)
+    new_ptr[1:] += shift
+    return new_ptr, _insert_before(kept, before, add_sets)
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +241,8 @@ def greedy_max_coverage(rr_sets, num_nodes: int, k: int) -> CoverageResult:
     require(num_nodes >= k, "k cannot exceed the number of nodes")
     ptr, nodes = _as_flat_arrays(rr_sets)
     num_sets = ptr.size - 1
-    counts = np.bincount(nodes, minlength=num_nodes).astype(np.int64)
     inv_ptr, inv_sets = _inverted_index(ptr, nodes, num_nodes)
+    counts = np.diff(inv_ptr)
 
     covered = np.zeros(num_sets, dtype=bool)
     seeds: list[int] = []
@@ -171,10 +277,10 @@ def lazy_greedy_max_coverage(rr_sets, num_nodes: int, k: int) -> CoverageResult:
     require(num_nodes >= k, "k cannot exceed the number of nodes")
     ptr, nodes = _as_flat_arrays(rr_sets)
     num_sets = ptr.size - 1
-    counts = np.bincount(nodes, minlength=num_nodes).astype(np.int64)
     inv_ptr, inv_sets = _inverted_index(ptr, nodes, num_nodes)
+    counts = np.diff(inv_ptr)
 
-    heap = [(-int(counts[node]), node) for node in range(num_nodes)]
+    heap = list(zip((-counts).tolist(), range(num_nodes)))
     heapq.heapify(heap)
     covered = np.zeros(num_sets, dtype=bool)
     seeds: list[int] = []

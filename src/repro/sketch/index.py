@@ -18,10 +18,15 @@ output is bit-identical to :func:`repro.rrset.coverage.greedy_max_coverage`
 :func:`repro.core.node_selection.node_selection` runs — so routing
 ``tim``/``tim_plus`` through an index changes wall-clock, never seeds.
 
-Warm-start theta extension: when a query demands a tighter ε than the sketch
-was built for, :meth:`ensure_theta` appends freshly sampled RR sets via
-``extend_flat`` (never resampling the existing prefix) and invalidates the
-derived structures; :meth:`save` then persists the grown sketch.
+The postings are built in full on the first query and then kept current,
+never rebuilt.  Warm-start theta extension — when a query demands a tighter
+ε than the sketch was built for, :meth:`ensure_theta` appends freshly
+sampled RR sets via ``extend_flat``, never resampling the existing prefix —
+costs the next query an append of the new sets' postings only; a
+dynamic-graph repair (:meth:`apply_update`) costs it a patch of the sets the
+repair rewrote.  Either way the postings equal a fresh build byte for byte,
+and only the greedy selection state restarts.  :meth:`save` persists the
+grown sketch.
 """
 
 from __future__ import annotations
@@ -42,9 +47,12 @@ from repro.parallel import ParallelSampler, jobs_for_engine, maybe_parallel
 from repro.rrset.base import make_rr_sampler
 from repro.rrset.coverage import (
     CoverageResult,
+    _append_postings,
     _decrement,
     _gather_members,
     _inverted_index,
+    _pair_keys,
+    _patch_postings,
 )
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import resolve_rng
@@ -61,7 +69,7 @@ class _GreedyState:
     def __init__(self, counts: np.ndarray[Any, Any], num_sets: int) -> None:
         self.counts = counts
         self.covered = np.zeros(num_sets, dtype=bool)
-        self.heap = [(-int(counts[node]), node) for node in range(counts.size)]
+        self.heap = list(zip((-counts).tolist(), range(counts.size)))
         heapq.heapify(self.heap)
         self.chosen = np.zeros(counts.size, dtype=bool)
         self.seeds: list[int] = []
@@ -123,6 +131,13 @@ class SketchIndex:
         self._jobs = jobs
         self._inv_ptr: np.ndarray[Any, Any] | None = None
         self._inv_sets: np.ndarray[Any, Any] | None = None
+        #: Sets ``[0, _indexed)`` are in the postings; later ones are appended
+        #: by the next query, so a run of small extensions merges only once.
+        self._indexed = 0
+        #: Repairs not yet in the postings, patched by the next query (so
+        #: back-to-back updates patch once): the sorted ids of the indexed
+        #: sets rewritten since, and their pair keys as the postings hold them.
+        self._pending_patch: tuple[np.ndarray[Any, Any], np.ndarray[Any, Any]] | None = None
         self._state: _GreedyState | None = None
 
     # ------------------------------------------------------------------
@@ -276,16 +291,37 @@ class SketchIndex:
         return self.collection.num_nodes
 
     def _ensure_postings(self) -> tuple[np.ndarray[Any, Any], np.ndarray[Any, Any]]:
+        """The node → set postings, current with the collection.
+
+        The first call builds them in full.  Later calls first patch the
+        sets repairs rewrote since (:meth:`apply_update`), then append the
+        sets added since (ids above every indexed one, so no stored entry
+        moves relative to another).
+        """
+        ptr, nodes = self.collection.ptr_array, self.collection.nodes_array
         if self._inv_ptr is None or self._inv_sets is None:
-            self._inv_ptr, self._inv_sets = _inverted_index(
-                self.collection.ptr_array, self.collection.nodes_array, self.num_nodes
-            )
+            self._inv_ptr, self._inv_sets = _inverted_index(ptr, nodes, self.num_nodes)
+        else:
+            if self._pending_patch is not None:
+                changed, removed = self._pending_patch
+                added = _pair_keys(ptr, nodes, changed, self._indexed)
+                self._inv_ptr, self._inv_sets = _patch_postings(
+                    self._inv_ptr, self._inv_sets, changed, removed, added, self._indexed)
+            if self._indexed < self.num_sets:
+                start = self._indexed
+                self._inv_ptr, self._inv_sets = _append_postings(
+                    self._inv_ptr, self._inv_sets,
+                    ptr[start:] - ptr[start], nodes[ptr[start]:], start)
+        self._pending_patch = None
+        self._indexed = self.num_sets
         return self._inv_ptr, self._inv_sets
 
     def invalidate(self) -> None:
-        """Drop postings and selection state (call after the sketch grows)."""
-        self._inv_ptr = None
-        self._inv_sets = None
+        """Restart the greedy selection state (call after the sketch changes).
+
+        The postings are not dropped: the next query brings them up to date
+        with what :meth:`extend_flat` and :meth:`apply_update` changed.
+        """
         self._state = None
 
     # ------------------------------------------------------------------
@@ -322,7 +358,11 @@ class SketchIndex:
             self._sampler.close()
 
     def extend_flat(self, batch: FlatRRCollection) -> None:
-        """Append pre-sampled RR sets (array-level) and invalidate caches."""
+        """Append pre-sampled RR sets (array-level); restart the selection.
+
+        The postings are kept: the next query appends the new sets' postings
+        to them instead of rebuilding.
+        """
         with obs.trace("sketch.extend", sets=len(batch)):
             faults.checkpoint("sketch.extend")
             self.collection.extend_flat(batch)
@@ -408,8 +448,10 @@ class SketchIndex:
         sampler bound to the new snapshot (sharded across ``jobs`` workers
         with ``SeedSequence.spawn`` streams, so the repaired bytes are
         worker-count invariant).  The index then rebinds to the new graph:
-        fingerprint metadata moves forward, stale KPT caches drop, and the
-        postings/selection state invalidates.
+        fingerprint metadata moves forward, stale KPT caches drop, the
+        selection state restarts, and the next query patches the postings of
+        the rewritten sets (``report.changed_ids``) instead of rebuilding
+        them.
 
         Returns the :class:`~repro.dynamic.repair.RepairReport`.
         """
@@ -438,6 +480,19 @@ class SketchIndex:
                 self.collection, delta, sampler, rng=resolve_rng(rng)
             )
         obs.add("repair.sets_resampled", report.num_affected)
+        # Sets at or past _indexed are not in the postings yet; the next
+        # query appends them from the repaired collection.
+        changed = report.changed_ids[report.changed_ids < self._indexed]
+        if self._inv_ptr is not None and changed.size:
+            # A set already pending keeps the pairs the postings hold for it.
+            pending, removed = self._pending_patch or (changed[:0], changed[:0])
+            fresh = np.setdiff1d(changed, pending, assume_unique=True)
+            self._pending_patch = (
+                np.union1d(pending, fresh),
+                np.union1d(removed, _pair_keys(self.collection.ptr_array,
+                                               self.collection.nodes_array,
+                                               fresh, self._indexed)),
+            )
         if jobs is not None:
             self._jobs = jobs
         # The old pool (if any) broadcast the old graph's arrays — retire it
@@ -526,8 +581,8 @@ class SketchIndex:
         return self._run_greedy(k, state)
 
     def _fresh_counts(self) -> np.ndarray[Any, Any]:
-        self._ensure_postings()
-        return self.collection.node_frequency_array().astype(np.int64, copy=True)
+        inv_ptr, _ = self._ensure_postings()
+        return np.diff(inv_ptr)
 
     def _run_greedy(self, k: int, state: _GreedyState) -> CoverageResult:
         """Advance ``state`` until it holds ``k`` seeds; return the answer."""

@@ -275,3 +275,16 @@ class TestBuildThroughIndex:
         assert reloaded.meta["algorithm"] == "imm"
         assert reloaded.meta["epsilon"] == 0.5
         assert reloaded.select(3, incremental=False).seeds == seeds
+
+
+class TestPostingsBuiltOnce:
+    def test_cold_imm_builds_full_postings_once(self, small_wc_graph, monkeypatch):
+        import repro.sketch.index as index_module
+
+        full_builds = []
+        real = index_module._inverted_index
+        monkeypatch.setattr(index_module, "_inverted_index",
+                            lambda *args: full_builds.append(1) or real(*args))
+        result = imm(small_wc_graph, 3, epsilon=0.3, rng=6)
+        assert result.lb_iterations > 1
+        assert len(full_builds) == 1

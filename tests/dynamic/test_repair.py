@@ -355,3 +355,43 @@ class TestIndexApplyUpdate:
             members = nodes[ptr[i] : ptr[i + 1]].tolist()
             if 0 in members and roots[i] != 0:
                 pytest.fail(f"set {i} reaches 0 through a deleted edge")
+
+
+class TestChangedIds:
+    """``RepairReport.changed_ids`` names exactly the rewritten sets."""
+
+    @pytest.mark.parametrize("model, traced", [("IC", True), ("IC", False), ("LT", True)])
+    @pytest.mark.parametrize("op", ["insert", "delete", "reweight"])
+    def test_ids_cover_every_changed_segment(self, model, traced, op):
+        if model == "IC":
+            g = wc_graph()
+        else:
+            base = uniform_random_lt(gnm_random_digraph(120, 600, rng=11), rng=2)
+            g = base.with_probabilities(base.prob * 0.8)
+        sampler = make_rr_sampler(g, model, trace_edges=traced)
+        coll = sampler.sample_random_batch(700, RandomSource(9))
+        u, v = int(g.src[5]), int(g.dst[5])
+        if op == "insert":
+            delta = insert_edge(g, (v + 7) % g.n, v, 0.05)
+        elif op == "delete":
+            delta = delete_edge(g, u, v)
+        else:
+            delta = reweight_edge(g, u, v, g.edge_probability(u, v) / 2)
+        new_sampler = make_rr_sampler(delta.new_graph, model, trace_edges=traced)
+        repaired, report = repair_collection(coll, delta, new_sampler, rng=3)
+        ids = report.changed_ids
+        assert report.exact == (model == "IC" and traced)
+        assert ids.dtype == np.int64
+        assert ids.size == report.num_affected > 0
+        assert np.array_equal(ids, np.unique(ids))
+        assert_kept_sets_identical(coll, repaired, ids)
+        assert "changed_ids" not in report.as_dict()
+
+    def test_noop_reweight_changes_nothing(self):
+        g = wc_graph()
+        coll, _ = traced_collection(g)
+        u, v = int(g.src[5]), int(g.dst[5])
+        delta = reweight_edge(g, u, v, g.edge_probability(u, v))
+        sampler = make_rr_sampler(delta.new_graph, "IC", trace_edges=True)
+        _, report = repair_collection(coll, delta, sampler, rng=3)
+        assert report.changed_ids.size == report.num_affected == 0

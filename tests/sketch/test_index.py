@@ -250,3 +250,57 @@ class TestKptCacheKeying:
         assert set(by_k) == {"10", "2"}
         # KPT is non-decreasing in k (Equation 7).
         assert by_k["10"] >= by_k["2"]
+
+
+def assert_postings_fresh(index):
+    from repro.rrset.coverage import _inverted_index
+
+    collection = index.collection
+    fresh = _inverted_index(collection.ptr_array, collection.nodes_array, index.num_nodes)
+    for live, want in zip(index._ensure_postings(), fresh):
+        assert live.dtype == want.dtype
+        assert np.array_equal(live, want)
+
+
+class TestPostingsKeptCurrent:
+    def test_empty_index_selects(self, wc_graph):
+        empty = SketchIndex(graph=wc_graph)
+        expected = greedy_max_coverage(empty.collection, wc_graph.n, 3)
+        assert empty.select(3).seeds == expected.seeds == [0, 1, 2]
+        assert empty.spread([0]) == 0.0
+        empty.ensure_theta(50, rng=1)
+        assert_postings_fresh(empty)
+
+    def test_extension_appends_without_full_rebuild(self, index, monkeypatch):
+        import repro.sketch.index as index_module
+
+        full_builds = []
+        real = index_module._inverted_index
+        monkeypatch.setattr(index_module, "_inverted_index",
+                            lambda *args: full_builds.append(1) or real(*args))
+        index.select(5)
+        for step in range(3):
+            index.ensure_theta(index.num_sets + 100 * (step + 1), rng=step)
+            assert_postings_fresh(index)
+            index.select(5)
+        assert len(full_builds) == 1
+
+    def test_mmap_loaded_sketch_builds_and_patches(self, wc_graph, tmp_path):
+        from repro.dynamic import DynamicDiGraph
+
+        built = SketchIndex.build(wc_graph, "IC", theta=600, rng=5, trace_edges=True)
+        path = tmp_path / "traced.npz"
+        built.save(path)
+        mapped = SketchIndex.load(path, graph=wc_graph, mmap=True)
+        assert not mapped.collection.nodes_array.flags.writeable
+        mapped.select(4)
+        assert_postings_fresh(mapped)
+        dynamic = DynamicDiGraph(wc_graph)
+        delta = dynamic.delete_edge(int(wc_graph.src[3]), int(wc_graph.dst[3]))
+        report = mapped.apply_update(delta, rng=2)
+        assert report.num_affected > 0
+        assert_postings_fresh(mapped)
+        mapped.ensure_theta(700, rng=3)
+        assert_postings_fresh(mapped)
+        fresh = greedy_max_coverage(mapped.collection, wc_graph.n, 4)
+        assert mapped.select(4).seeds == fresh.seeds

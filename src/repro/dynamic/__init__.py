@@ -4,7 +4,7 @@ The paper's machinery assumes a static graph; this package opens the
 evolving-network workload the ROADMAP targets.  Three layers:
 
 * :class:`~repro.dynamic.graph.DynamicDiGraph` — a mutable overlay that
-  applies edge inserts/deletes/reweights by CSR re-materialization
+  applies edge inserts/deletes/reweights by splicing the CSR arrays
   (:mod:`repro.graphs.delta`) and versions every snapshot by fingerprint;
 * :mod:`repro.dynamic.repair` — incremental RR-sketch repair: trace-aware
   invalidation plus deterministic resampling of only the affected sets;

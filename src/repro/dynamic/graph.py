@@ -4,9 +4,11 @@ The rest of the system (samplers, sketch files, service caches) is built on
 immutable :class:`~repro.graphs.digraph.DiGraph` snapshots keyed by content
 fingerprint.  ``DynamicDiGraph`` is the thin mutable façade an evolving
 workload talks to: it holds the *current* snapshot, applies edge updates by
-CSR re-materialization (:mod:`repro.graphs.delta`), bumps a version counter,
-and keeps the fingerprint lineage so every historical cache key can be
-traced to the version that produced it.
+splicing the one touched edge into or out of its CSR arrays
+(:mod:`repro.graphs.delta`: no re-sort, and the result is byte-identical to
+a from-scratch build), bumps a version counter, and keeps the fingerprint
+lineage so every historical cache key can be traced to the version that
+produced it.
 
 The returned :class:`~repro.graphs.delta.GraphDelta` objects are the
 currency of incremental sketch repair — hold on to them in the order they

@@ -93,6 +93,27 @@ class DiGraph:
         self._out_adj_cache = None
         self._fingerprint_cache = None
 
+    @classmethod
+    def _from_csr(cls, num_nodes: int, src, dst, prob, out_csr, in_csr) -> "DiGraph":
+        """A graph adopting prebuilt arrays: no sort, no validation.
+
+        ``out_csr``/``in_csr`` are ``(ptr, idx, prob)`` triples that must
+        equal what the constructor's stable CSR build would produce from
+        ``src``/``dst``/``prob`` (the single-edge splices in
+        :mod:`repro.graphs.delta` maintain exactly that).  Arrays are
+        shared, not copied.
+        """
+        graph = cls.__new__(cls)
+        graph.n = int(num_nodes)
+        graph.src, graph.dst, graph.prob = src, dst, prob
+        graph.m = int(src.size)
+        graph.out_ptr, graph.out_idx, graph.out_prob = out_csr
+        graph.in_ptr, graph.in_idx, graph.in_prob = in_csr
+        graph._in_adj_cache = None
+        graph._out_adj_cache = None
+        graph._fingerprint_cache = None
+        return graph
+
     def _build_csr(self, keys: np.ndarray, values: np.ndarray):
         """CSR arrays grouping ``values``/``prob`` by ``keys``."""
         counts = np.bincount(keys, minlength=self.n)

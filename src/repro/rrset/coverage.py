@@ -19,10 +19,14 @@ rewrote, given as the same keys (:func:`_pair_keys`).  Either result is
 byte-identical to a fresh build.
 
 * :func:`greedy_max_coverage` — the *linear-time exact* greedy the paper
-  cites: ``k`` rounds of true argmax over live cover counts.
+  cites: ``k`` rounds of true argmax over live cover counts.  The rounds are
+  :func:`_greedy_rounds`, the one greedy loop of the package: a
+  :class:`~repro.sketch.index.SketchIndex` runs it too, resumably across
+  ``select`` calls and with forced/excluded nodes.
 * :func:`lazy_greedy_max_coverage` — CELF-style lazy heap over the same
-  counts; identical seeds (including on ties — both orders resolve a tied
-  maximum toward the smaller node id), different constant factors.
+  counts (the ``coverage="lazy"`` solver); identical seeds (including on
+  ties — both orders resolve a tied maximum toward the smaller node id),
+  different constant factors.
 * :func:`greedy_max_coverage_python` — the original pure-Python exact
   greedy, kept as the ``engine="python"`` ablation baseline and test oracle.
 
@@ -110,8 +114,9 @@ def _gather_members(ptr: np.ndarray, nodes: np.ndarray, set_ids: np.ndarray) -> 
 
 def _decrement(counts: np.ndarray, members: np.ndarray, num_nodes: int) -> None:
     """``counts[v] -= multiplicity of v in members`` without a Python loop."""
-    # bincount beats subtract.at once the member batch is non-trivial.
-    if members.size > 64:
+    # subtract.at costs O(members), bincount O(num_nodes + members): the
+    # dense pass only pays once the batch is about as large as the universe.
+    if members.size > num_nodes:
         counts -= np.bincount(members, minlength=num_nodes)
     else:
         np.subtract.at(counts, members, 1)
@@ -229,6 +234,44 @@ def _patch_postings(
 # ----------------------------------------------------------------------
 # Solvers
 # ----------------------------------------------------------------------
+def _greedy_rounds(
+    k: int, counts: np.ndarray, covered: np.ndarray,
+    inv_ptr: np.ndarray, inv_sets: np.ndarray, ptr: np.ndarray, nodes: np.ndarray,
+    seeds: list[int], gains: list[int], forced: Sequence[int] = (),
+) -> None:
+    """Grow ``seeds``/``gains`` to ``k`` picks: ``forced`` first, then argmax.
+
+    ``counts`` holds each node's number of uncovered sets, and ``covered``
+    flags the covered sets; both are updated in place, so a caller can keep
+    them and resume with a larger ``k``.  A picked node's count becomes
+    ``-1``, which keeps it out of later rounds; callers mark nodes that must
+    never be picked the same way.  ``np.argmax`` resolves a tied maximum
+    toward the smaller node id, so once no node covers a new set the
+    remaining picks are the smallest unpicked ids, each with gain 0; that
+    tail is taken in one pass.
+    """
+    pending = list(forced)
+    while len(seeds) < k:
+        if pending:
+            node = pending.pop(0)
+        else:
+            node = int(np.argmax(counts))
+            if counts[node] == 0:
+                tail = np.flatnonzero(counts == 0)[: k - len(seeds)]
+                counts[tail] = -1
+                seeds.extend(tail.tolist())
+                gains.extend([0] * tail.size)
+                return
+        seeds.append(node)
+        gains.append(int(counts[node]))
+        candidate_sets = inv_sets[inv_ptr[node] : inv_ptr[node + 1]]
+        new_sets = candidate_sets[~covered[candidate_sets]]
+        if new_sets.size:
+            covered[new_sets] = True
+            _decrement(counts, _gather_members(ptr, nodes, new_sets), counts.size)
+        counts[node] = -1
+
+
 def greedy_max_coverage(rr_sets, num_nodes: int, k: int) -> CoverageResult:
     """Exact greedy: k rounds of true argmax over live cover counts.
 
@@ -242,25 +285,11 @@ def greedy_max_coverage(rr_sets, num_nodes: int, k: int) -> CoverageResult:
     ptr, nodes = _as_flat_arrays(rr_sets)
     num_sets = ptr.size - 1
     inv_ptr, inv_sets = _inverted_index(ptr, nodes, num_nodes)
-    counts = np.diff(inv_ptr)
-
-    covered = np.zeros(num_sets, dtype=bool)
     seeds: list[int] = []
     gains: list[int] = []
-    total_covered = 0
-    for _ in range(k):
-        best = int(np.argmax(counts))
-        gain = int(counts[best])
-        seeds.append(best)
-        gains.append(gain)
-        total_covered += gain
-        candidate_sets = inv_sets[inv_ptr[best] : inv_ptr[best + 1]]
-        new_sets = candidate_sets[~covered[candidate_sets]]
-        if new_sets.size:
-            covered[new_sets] = True
-            _decrement(counts, _gather_members(ptr, nodes, new_sets), num_nodes)
-        counts[best] = -1  # exclude from future argmax rounds
-    return CoverageResult(seeds, total_covered, num_sets, tuple(gains))
+    _greedy_rounds(k, np.diff(inv_ptr), np.zeros(num_sets, dtype=bool),
+                   inv_ptr, inv_sets, ptr, nodes, seeds, gains)
+    return CoverageResult(seeds, sum(gains), num_sets, tuple(gains))
 
 
 def lazy_greedy_max_coverage(rr_sets, num_nodes: int, k: int) -> CoverageResult:

@@ -10,11 +10,12 @@ prebuilt structures every query needs:
 * per-node cover counts (one ``bincount`` over the packed member array),
 * a CSR **inverted index** ``node → ids of the RR sets containing it``,
 
-and keeps an *incremental* lazy-greedy selection state: ``select(5)`` then
+and keeps an *incremental* greedy selection state: ``select(5)`` then
 ``select(25)`` continues from the fifth pick instead of restarting, so a
-service answering ascending-k queries pays each greedy round once.  Seed
-output is bit-identical to :func:`repro.rrset.coverage.greedy_max_coverage`
-(both resolve tied maxima toward the smaller node id), which is what
+service answering ascending-k queries pays each greedy round once.  Every
+round is one ``argmax`` over the live cover counts, run by the same loop as
+:func:`repro.rrset.coverage.greedy_max_coverage` (ties resolve toward the
+smaller node id), which is what
 :func:`repro.core.node_selection.node_selection` runs — so routing
 ``tim``/``tim_plus`` through an index changes wall-clock, never seeds.
 
@@ -31,9 +32,8 @@ grown sketch.
 
 from __future__ import annotations
 
-import heapq
 import os
-from typing import Any, Iterable, cast
+from typing import Any, Iterable, Sequence, cast
 
 import numpy as np
 
@@ -48,8 +48,7 @@ from repro.rrset.base import make_rr_sampler
 from repro.rrset.coverage import (
     CoverageResult,
     _append_postings,
-    _decrement,
-    _gather_members,
+    _greedy_rounds,
     _inverted_index,
     _pair_keys,
     _patch_postings,
@@ -62,19 +61,20 @@ __all__ = ["SketchIndex"]
 
 
 class _GreedyState:
-    """Resumable lazy-greedy max-coverage state (one instance per index)."""
+    """Resumable greedy max-coverage state (one instance per index).
 
-    __slots__ = ("counts", "covered", "heap", "chosen", "seeds", "gains", "covered_total")
+    ``counts``/``covered`` are the live arrays
+    :func:`~repro.rrset.coverage._greedy_rounds` advances; ``seeds`` and
+    ``gains`` are the picks so far.
+    """
+
+    __slots__ = ("counts", "covered", "seeds", "gains")
 
     def __init__(self, counts: np.ndarray[Any, Any], num_sets: int) -> None:
         self.counts = counts
         self.covered = np.zeros(num_sets, dtype=bool)
-        self.heap = list(zip((-counts).tolist(), range(counts.size)))
-        heapq.heapify(self.heap)
-        self.chosen = np.zeros(counts.size, dtype=bool)
         self.seeds: list[int] = []
         self.gains: list[int] = []
-        self.covered_total = 0
 
 
 class SketchIndex:
@@ -537,7 +537,7 @@ class SketchIndex:
 
         Matches :func:`repro.rrset.coverage.greedy_max_coverage` seed-for-seed
         (ties resolve toward the smaller node id).  With ``incremental=True``
-        (default, and only valid without constraints) the lazy-greedy state
+        (default, and only valid without constraints) the greedy state
         persists across calls, so ascending-k queries extend the previous
         answer instead of recomputing it.
 
@@ -584,94 +584,23 @@ class SketchIndex:
         inv_ptr, _ = self._ensure_postings()
         return np.diff(inv_ptr)
 
-    def _run_greedy(self, k: int, state: _GreedyState) -> CoverageResult:
+    def _run_greedy(self, k: int, state: _GreedyState,
+                    forced: Sequence[int] = ()) -> CoverageResult:
         """Advance ``state`` until it holds ``k`` seeds; return the answer."""
         with obs.trace("selection.greedy", k=int(k)):
-            return self._run_greedy_inner(k, state)
-
-    def _run_greedy_inner(self, k: int, state: _GreedyState) -> CoverageResult:
-        inv_ptr, inv_sets = self._ensure_postings()
-        ptr = self.collection.ptr_array
-        nodes = self.collection.nodes_array
-        counts, covered, heap, chosen = state.counts, state.covered, state.heap, state.chosen
-        while len(state.seeds) < k and heap:
-            negative_count, node = heapq.heappop(heap)
-            if chosen[node]:
-                continue
-            current = int(counts[node])
-            if -negative_count != current:
-                heapq.heappush(heap, (-current, node))
-                continue
-            state.seeds.append(node)
-            chosen[node] = True
-            state.gains.append(current)
-            state.covered_total += current
-            candidate_sets = inv_sets[inv_ptr[node] : inv_ptr[node + 1]]
-            new_sets = candidate_sets[~covered[candidate_sets]]
-            if new_sets.size:
-                covered[new_sets] = True
-                _decrement(counts, _gather_members(ptr, nodes, new_sets), self.num_nodes)
-        if len(state.seeds) < k:
-            fill = np.flatnonzero(~chosen)[: k - len(state.seeds)]
-            for v in fill:
-                state.seeds.append(int(v))
-                state.gains.append(0)
-                chosen[v] = True
+            inv_ptr, inv_sets = self._ensure_postings()
+            _greedy_rounds(k, state.counts, state.covered, inv_ptr, inv_sets,
+                           self.collection.ptr_array, self.collection.nodes_array,
+                           state.seeds, state.gains, forced)
         return CoverageResult(
-            list(state.seeds), state.covered_total, self.num_sets, tuple(state.gains)
+            list(state.seeds), sum(state.gains), self.num_sets, tuple(state.gains)
         )
 
     def _select_constrained(self, k: int, include: list[int], exclude: set[int]) -> CoverageResult:
-        """One-shot greedy honouring forced include/exclude constraints."""
-        inv_ptr, inv_sets = self._ensure_postings()
-        ptr = self.collection.ptr_array
-        nodes = self.collection.nodes_array
-        counts = self._fresh_counts()
-        covered = np.zeros(self.num_sets, dtype=bool)
-        chosen = np.zeros(self.num_nodes, dtype=bool)
-        seeds: list[int] = []
-        gains: list[int] = []
-        total = 0
-
-        def take(node: int) -> None:
-            nonlocal total
-            gain = int(counts[node])
-            seeds.append(node)
-            gains.append(gain)
-            total += gain
-            chosen[node] = True
-            candidate_sets = inv_sets[inv_ptr[node] : inv_ptr[node + 1]]
-            new_sets = candidate_sets[~covered[candidate_sets]]
-            if new_sets.size:
-                covered[new_sets] = True
-                _decrement(counts, _gather_members(ptr, nodes, new_sets), self.num_nodes)
-
-        for node in include:
-            take(node)
-        if exclude:
-            chosen[list(exclude)] = True  # never eligible
-        heap = [
-            (-int(counts[node]), node)
-            for node in range(self.num_nodes)
-            if not chosen[node]
-        ]
-        heapq.heapify(heap)
-        while len(seeds) < k and heap:
-            negative_count, node = heapq.heappop(heap)
-            if chosen[node]:
-                continue
-            current = int(counts[node])
-            if -negative_count != current:
-                heapq.heappush(heap, (-current, node))
-                continue
-            take(node)
-        if len(seeds) < k:
-            eligible = ~chosen
-            fill = np.flatnonzero(eligible)[: k - len(seeds)]
-            for v in fill:
-                seeds.append(int(v))
-                gains.append(0)
-        return CoverageResult(seeds, total, self.num_sets, tuple(gains))
+        """One-shot greedy: ``include`` first, ``exclude`` never eligible."""
+        state = _GreedyState(self._fresh_counts(), self.num_sets)
+        state.counts[sorted(exclude)] = -1
+        return self._run_greedy(k, state, include)
 
     def coverage_count(self, seeds: Iterable[int]) -> int:
         """Number of RR sets covered by ``seeds`` (postings-list union)."""

@@ -52,6 +52,53 @@ def _grow(array: np.ndarray, needed: int) -> np.ndarray:
     return grown
 
 
+def group_by_sample(samples: np.ndarray, num_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``ptr`` over ``num_samples`` and the order grouping entries by sample.
+
+    ``samples[i]`` names the sample entry ``i`` belongs to.  One in-place
+    ``np.sort`` of int64 keys ``sample·L + i`` (``L = len(samples)``): the
+    keys are unique and ordered by (sample, position), so ``key % L`` is
+    exactly ``np.argsort(samples, kind="stable")`` at a fraction of its cost.
+    An int64 ``samples`` is consumed: the keys, and then the returned order,
+    reuse its buffer, so grouping allocates no array of L keys of its own.
+    """
+    size = int(samples.size)
+    require(int(num_samples) * size <= np.iinfo(np.int64).max,
+            f"grouping keys overflow int64: {num_samples} samples x {size} entries")
+    ptr = np.zeros(num_samples + 1, dtype=_PTR_DTYPE)
+    np.cumsum(np.bincount(samples, minlength=num_samples), out=ptr[1:])
+    if size == 0:
+        return ptr, np.empty(0, dtype=np.int64)
+    keys = samples.astype(np.int64, copy=False)
+    keys *= size
+    keys += np.arange(size, dtype=np.int64)
+    keys.sort()
+    np.remainder(keys, size, out=keys)
+    return ptr, keys
+
+
+def group_traces(
+    trace_samples: list[np.ndarray] | None,
+    trace_edge_ids: list[np.ndarray] | None,
+    num_samples: int,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Trace CSR (``trace_ptr``, ``trace_edges``) of a sampled batch.
+
+    The inputs are a batch sampler's per-wave chunks of (sample, in-CSR edge
+    id) pairs; each sample's edges keep their recording order.  ``(None,
+    None)`` when the sampler does not trace.
+    """
+    if trace_samples is None or trace_edge_ids is None:
+        return None, None
+    if trace_samples:
+        samples = np.concatenate(trace_samples)
+        edges = np.concatenate(trace_edge_ids)
+    else:
+        samples = edges = np.empty(0, dtype=np.int64)
+    trace_ptr, order = group_by_sample(samples, num_samples)
+    return trace_ptr, edges[order].astype(_TRACE_DTYPE, copy=False)
+
+
 class FlatRRCollection:
     """An append-only bag of RR sets stored as packed numpy arrays.
 

@@ -18,7 +18,8 @@ Vectorised path (:meth:`ICRRSampler.sample_batch`): many RR sets are grown
 node)`` pairs.  Each wave gathers the in-edges of the whole frontier
 straight from ``DiGraph.in_ptr``/``in_idx``/``in_prob`` with a CSR
 range-gather, decides every coin in one ``rng.np.random(len(slice))`` call,
-and deduplicates newly reached pairs against a per-chunk visited matrix.
+and deduplicates newly reached pairs against a pool of visited rows (one
+per in-flight sample, recycled by generation stamp rather than wiped).
 Frontier nodes whose in-edges share one probability (the weighted-cascade
 common case) are additionally eligible for *geometric-skip* sampling: gaps
 between Bernoulli successes are Geometric(p), so for a run of ``T`` edges at
@@ -38,7 +39,7 @@ from repro.graphs.digraph import DiGraph
 from repro.obs import runtime as obs
 from repro.obs.registry import SIZE_BUCKETS
 from repro.rrset.base import RRSampler, RRSet
-from repro.rrset.flat_collection import FlatRRCollection
+from repro.rrset.flat_collection import FlatRRCollection, group_by_sample, group_traces
 from repro.utils.rng import RandomSource, resolve_rng
 
 __all__ = ["ICRRSampler"]
@@ -94,11 +95,11 @@ class ICRRSampler(RRSampler):
     #: (high-degree hubs or very homogeneous frontiers).
     GEOMETRIC_SKIP_MIN_EDGES = 4096
 
-    #: Upper bounds on the visited-bitmap row pool: at most this many
-    #: boolean cells (rows · n, i.e. at most 16 MiB of scratch) and at most
-    #: this many concurrent samples.  Measured sweet spot: much smaller and
+    #: Upper bounds on the visited-row pool: at most this many one-byte
+    #: cells (rows · n, i.e. at most 16 MiB of scratch) and at most this
+    #: many concurrent samples.  Measured sweet spot: much smaller and
     #: the waves lose their numpy amortisation, much bigger and the
-    #: scattered bitmap accesses fall out of last-level cache.
+    #: scattered visited-row accesses fall out of last-level cache.
     BATCH_CHUNK_CELLS = 16 << 20
     BATCH_CHUNK_MAX = 8192
 
@@ -308,9 +309,9 @@ class ICRRSampler(RRSampler):
         core:
 
         * unbounded sampling uses a *streaming* reverse BFS: a pool of
-          visited-bitmap rows grows many RR sets concurrently and admits the
-          next root the moment a row frees up, so the frontier stays wide
-          and numpy call overhead is amortised across the whole batch;
+          visited rows grows many RR sets concurrently and admits the next
+          root the moment a row frees up, so the frontier stays wide and
+          numpy call overhead is amortised across the whole batch;
         * ``max_depth`` sampling processes fixed chunks level-synchronously
           (every wave is one BFS depth), which realises the scalar FIFO
           truncation semantics exactly.
@@ -324,7 +325,7 @@ class ICRRSampler(RRSampler):
             return out
         rows = max(1, min(self.BATCH_CHUNK_MAX, self.BATCH_CHUNK_CELLS // max(n, 1)))
         rows = min(rows, int(roots.size))
-        visited = np.zeros((rows, n), dtype=bool)
+        visited = np.zeros((rows, n), dtype=np.uint8)
         with obs.trace("sampling.ic_batch", sets=int(roots.size)):
             if self.max_depth is None:
                 self._sample_stream(roots, source, out, visited)
@@ -346,10 +347,14 @@ class ICRRSampler(RRSampler):
     ) -> None:
         """Streaming driver: grow all RR sets through one shared frontier.
 
-        Each in-flight sample owns one row of ``visited``; finished rows are
-        wiped (one contiguous memset) and recycled to admit the next root,
-        so the wave width stays near the pool size instead of decaying into
-        long tails of tiny frontiers.
+        Each in-flight sample owns one row of ``visited`` and recycles it to
+        admit the next root the moment its frontier dies, so the wave width
+        stays near the pool size instead of decaying into long tails of tiny
+        frontiers.  Rows are recycled by generation stamp, not by wiping: a
+        cell is visited iff it holds its row's current ``stamp``, so freeing
+        a row is one increment and costs O(1) instead of O(n).  Only when a
+        row's one-byte stamp wraps (every 255th reuse) is the row zeroed.
+        Bookkeeping per RR set is thus O(|R|), the paper's sampling cost.
         """
         n = self.graph.n
         num_rows = visited.shape[0]
@@ -362,10 +367,10 @@ class ICRRSampler(RRSampler):
         trace_samples: list[np.ndarray] | None = [] if self.trace_edges else None
         trace_edge_ids: list[np.ndarray] | None = [] if self.trace_edges else None
         next_root = 0
-        active_s = np.empty(0, dtype=np.int64)
         active_v = np.empty(0, dtype=np.int64)
         active_r = np.empty(0, dtype=id_dtype)
         row_live = np.zeros(num_rows, dtype=bool)
+        stamp = np.ones(num_rows, dtype=np.uint8)
         visited_flat = visited.reshape(-1)
 
         while True:
@@ -378,17 +383,16 @@ class ICRRSampler(RRSampler):
                 next_root += take
                 sample_of_row[new_r] = new_s
                 row_live[new_r] = True
-                visited[new_r, new_v] = True
+                visited[new_r, new_v] = stamp[new_r]
                 member_samples.append(new_s)
                 member_nodes.append(new_v)
-                active_s = np.concatenate([active_s, new_s])
                 active_v = np.concatenate([active_v, new_v])
                 active_r = np.concatenate([active_r, new_r])
             if active_v.size == 0:
                 break
             if active_v.size <= self.TAIL_CUTOVER_PAIRS and next_root >= total:
                 self._finish_tail(
-                    active_s, active_r, active_v, 0, visited, None, source,
+                    sample_of_row[active_r], active_r, active_v, 0, visited, stamp, None, source,
                     member_samples, member_nodes, trace_samples, trace_edge_ids,
                 )
                 break
@@ -403,9 +407,10 @@ class ICRRSampler(RRSampler):
             if hit_pos.size:
                 # One flat (row·n + node) key drives everything: the visited
                 # lookup, the within-wave dedup (in-place sort + adjacent
-                # diff beats a hash-based unique here), and the bitmap write.
-                key = active_r[hit_pos] * id_dtype(n) + hit_v.astype(id_dtype, copy=False)
-                key = key[~visited_flat[key]]
+                # diff beats a hash-based unique here), and the stamp write.
+                hit_r = active_r[hit_pos]
+                key = hit_r * id_dtype(n) + hit_v.astype(id_dtype, copy=False)
+                key = key[visited_flat[key] != stamp[hit_r]]
             if key.size:
                 key.sort()
                 if key.size > 1:
@@ -413,26 +418,30 @@ class ICRRSampler(RRSampler):
                     keep[0] = True
                     np.not_equal(key[1:], key[:-1], out=keep[1:])
                     key = key[keep]
-                visited_flat[key] = True
                 cand_r = key // id_dtype(n)
+                visited_flat[key] = stamp[cand_r]
                 cand_v = (key % id_dtype(n)).astype(np.int64, copy=False)
-                cand_s = sample_of_row[cand_r]
-                member_samples.append(cand_s)
+                member_samples.append(sample_of_row[cand_r])
                 member_nodes.append(cand_v)
             else:
-                cand_s = np.empty(0, dtype=np.int64)
                 cand_v = np.empty(0, dtype=np.int64)
                 cand_r = np.empty(0, dtype=id_dtype)
-            # Rows whose frontier died this wave are wiped and recycled.
-            # Bitmap bookkeeping is O(rows + frontier), no sorting.
+            # Rows whose frontier died this wave are recycled by advancing
+            # their stamp, which un-visits every cell at once; a row whose
+            # stamp wrapped to 0 is zeroed and restarts at 1.  O(rows +
+            # frontier) per wave, and O(n) only once per 255 reuses of a row.
             still_live = np.zeros(num_rows, dtype=bool)
             still_live[cand_r] = True
             finished = np.flatnonzero(row_live & ~still_live)
             if finished.size:
-                visited[finished] = False
+                stamp[finished] += 1
+                wrapped = finished[stamp[finished] == 0]
+                if wrapped.size:
+                    visited[wrapped] = 0
+                    stamp[wrapped] = 1
                 free_rows.extend(finished.tolist())
             row_live = still_live
-            active_s, active_v, active_r = cand_s, cand_v, cand_r
+            active_v, active_r = cand_v, cand_r
 
         self._commit(roots, member_samples, member_nodes, None, out,
                      trace_samples, trace_edge_ids)
@@ -449,15 +458,16 @@ class ICRRSampler(RRSampler):
         Wave ``d`` expands exactly the nodes at live distance ``d``, so a
         member's recorded depth is its true live distance and truncation is
         exact (the vectorised analogue of :meth:`_sample_rooted_bounded`).
-        ``visited`` is an all-False scratch matrix with at least
-        ``len(chunk_roots)`` rows; touched cells are cleared before return.
+        ``visited`` is an all-zero scratch matrix with at least
+        ``len(chunk_roots)`` rows; members are marked 1 and every touched
+        cell is cleared back to 0 before return (O(members), no stamps).
         """
         n = self.graph.n
         in_deg = self._np_in_deg
         batch = chunk_roots.size
         id_dtype = np.int32 if batch * n < 2**31 else np.int64
         sample_ids = np.arange(batch, dtype=np.int64)
-        visited[sample_ids, chunk_roots] = True
+        visited[sample_ids, chunk_roots] = 1
         member_samples = [sample_ids]
         member_nodes = [chunk_roots]
         trace_samples: list[np.ndarray] | None = [] if self.trace_edges else None
@@ -473,7 +483,7 @@ class ICRRSampler(RRSampler):
                 break
             if active_v.size <= self.TAIL_CUTOVER_PAIRS:
                 self._finish_tail(
-                    active_s, active_s, active_v, depth, visited, widths, source,
+                    active_s, active_s, active_v, depth, visited, None, widths, source,
                     member_samples, member_nodes, trace_samples, trace_edge_ids,
                 )
                 break
@@ -488,7 +498,8 @@ class ICRRSampler(RRSampler):
                 trace_samples.append(active_s[hit_pos])
                 trace_edge_ids.append(hit_e)
             hit_s = active_s[hit_pos]
-            fresh = ~visited[hit_s, hit_v]
+            # uint8 cells: `~` would be a bitwise NOT, so compare with 0.
+            fresh = visited[hit_s, hit_v] == 0
             hit_s, hit_v = hit_s[fresh], hit_v[fresh]
             if hit_s.size == 0:
                 break
@@ -498,7 +509,7 @@ class ICRRSampler(RRSampler):
             )
             cand_s = (key // id_dtype(n)).astype(np.int64, copy=False)
             cand_v = (key % id_dtype(n)).astype(np.int64, copy=False)
-            visited[cand_s, cand_v] = True
+            visited[cand_s, cand_v] = 1
             member_samples.append(cand_s)
             member_nodes.append(cand_v)
             active_s, active_v = cand_s, cand_v
@@ -506,7 +517,7 @@ class ICRRSampler(RRSampler):
 
         all_s = np.concatenate(member_samples)
         all_v = np.concatenate(member_nodes)
-        visited[all_s, all_v] = False  # reset scratch for the next chunk
+        visited[all_s, all_v] = 0  # reset scratch for the next chunk
         self._commit(chunk_roots, [all_s], [all_v], widths, out,
                      trace_samples, trace_edge_ids)
 
@@ -520,7 +531,12 @@ class ICRRSampler(RRSampler):
         trace_samples: list[np.ndarray] | None = None,
         trace_edge_ids: list[np.ndarray] | None = None,
     ) -> None:
-        """Sort membership by sample and bulk-append the batch to ``out``."""
+        """Group membership by sample and bulk-append the batch to ``out``.
+
+        Each sample's members (and trace edges) keep their discovery order,
+        grouped by one composite-key sort
+        (:func:`~repro.rrset.flat_collection.group_by_sample`).
+        """
         batch = int(roots.size)
         all_s = member_samples[0] if len(member_samples) == 1 else np.concatenate(member_samples)
         all_v = member_nodes[0] if len(member_nodes) == 1 else np.concatenate(member_nodes)
@@ -529,29 +545,14 @@ class ICRRSampler(RRSampler):
             widths = np.bincount(
                 all_s, weights=self._np_in_deg[all_v], minlength=batch
             ).astype(np.int64)
-        order = np.argsort(all_s, kind="stable")
-        sizes = np.bincount(all_s, minlength=batch)
-        local_ptr = np.zeros(batch + 1, dtype=np.int64)
-        np.cumsum(sizes, out=local_ptr[1:])
-        trace_ptr = trace_edges = None
-        if trace_samples is not None:
-            if trace_samples:
-                t_s = np.concatenate(trace_samples)
-                t_e = np.concatenate(trace_edge_ids)
-            else:
-                t_s = np.empty(0, dtype=np.int64)
-                t_e = np.empty(0, dtype=np.int64)
-            t_order = np.argsort(t_s, kind="stable")
-            t_sizes = np.bincount(t_s, minlength=batch)
-            trace_ptr = np.zeros(batch + 1, dtype=np.int64)
-            np.cumsum(t_sizes, out=trace_ptr[1:])
-            trace_edges = t_e[t_order].astype(np.int32, copy=False)
+        local_ptr, order = group_by_sample(all_s, batch)  # consumes all_s
+        trace_ptr, trace_edges = group_traces(trace_samples, trace_edge_ids, batch)
         out.extend_arrays(
             roots=roots,
             ptr=local_ptr,
             nodes=all_v[order].astype(np.int32, copy=False),
             widths=widths,
-            costs=sizes + widths,
+            costs=np.diff(local_ptr) + widths,
             trace_ptr=trace_ptr,
             trace_edges=trace_edges,
         )
@@ -563,6 +564,7 @@ class ICRRSampler(RRSampler):
         active_v: np.ndarray,
         depth: int,
         visited: np.ndarray,
+        stamp: np.ndarray | None,
         widths: np.ndarray | None,
         source: RandomSource,
         member_samples: list[np.ndarray],
@@ -574,11 +576,12 @@ class ICRRSampler(RRSampler):
 
         Numpy call overhead dominates waves this small, and deep RR sets
         (long weighted-cascade chains) would otherwise pay it per level.
-        Shares the driver's visited matrix (``active_r`` names each pair's
-        row); each expanded node's in-edges come straight off the CSR slice
-        (one ``tolist`` per node — deliberately *not* the full cached
-        adjacency, so pool workers never materialise the whole graph as
-        Python lists).  Coin order differs from the wave path but the
+        Shares the driver's visited matrix: ``active_r`` names each pair's
+        row and ``stamp`` the row's visited mark (``None``: the bounded
+        driver's plain 1).  Each expanded node's in-edges come straight off
+        the CSR slice (one ``tolist`` per node — deliberately *not* the full
+        cached adjacency, so pool workers never materialise the whole graph
+        as Python lists).  Coin order differs from the wave path but the
         sampled distribution is identical.  FIFO with explicit depths keeps
         ``max_depth`` truncation exact (see :meth:`_sample_rooted_bounded`).
         ``widths`` is only accumulated for the bounded driver; the streaming
@@ -611,14 +614,15 @@ class ICRRSampler(RRSampler):
             if widths is not None:
                 widths[sample] += len(neighbors)
             row = visited[row_id]
+            mark = 1 if stamp is None else int(stamp[row_id])
             for index in range(len(neighbors)):
                 if random01() < probs[index]:
                     if tracing:
                         extra_ts.append(sample)
                         extra_te.append(lo + index)
                     source_node = neighbors[index]
-                    if not row[source_node]:
-                        row[source_node] = True
+                    if row[source_node] != mark:
+                        row[source_node] = mark
                         extra_s.append(sample)
                         extra_v.append(source_node)
                         queue.append((sample, row_id, source_node, level + 1))

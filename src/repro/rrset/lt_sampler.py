@@ -13,8 +13,8 @@ lockstep, one wave per hop.  The inverse-CDF edge pick becomes a single
 node ``v`` with CSR slice ``[lo, hi)`` and uniform draw ``r``, the live
 in-edge is the first position whose cumulative weight exceeds
 ``prefix[lo] + r``, and ``r >= Σ w`` is the "no neighbour" stop — while
-revisit detection reuses the IC engine's visited-bitmap row pool (one row
-per in-flight walk).  Same distribution as the scalar walk, not
+revisit detection uses a visited-bitmap row pool like the IC engine's (one
+row per in-flight walk).  Same distribution as the scalar walk, not
 draw-for-draw identical (batched draws consume the RNG in a different
 order); the whole batch lands in one packed
 :class:`~repro.rrset.flat_collection.FlatRRCollection`.
@@ -29,7 +29,7 @@ from repro.graphs.weights import validate_lt_weights
 from repro.obs import runtime as obs
 from repro.obs.registry import SIZE_BUCKETS
 from repro.rrset.base import RRSampler, RRSet
-from repro.rrset.flat_collection import FlatRRCollection
+from repro.rrset.flat_collection import FlatRRCollection, group_by_sample, group_traces
 from repro.utils.rng import RandomSource, resolve_rng
 
 __all__ = ["LTRRSampler"]
@@ -292,26 +292,12 @@ class LTRRSampler(RRSampler):
         trace_edge_ids: list[np.ndarray] | None = None,
     ) -> None:
         batch = int(chunk_roots.size)
-        sizes = np.bincount(all_s, minlength=batch)
-        local_ptr = np.zeros(batch + 1, dtype=np.int64)
-        np.cumsum(sizes, out=local_ptr[1:])
-        order = np.argsort(all_s, kind="stable")  # root first, then hop order
         widths = np.bincount(
             all_s, weights=self._np_in_deg[all_v], minlength=batch
         ).astype(np.int64)
-        trace_ptr = trace_edges = None
-        if trace_samples is not None:
-            if trace_samples:
-                t_s = np.concatenate(trace_samples)
-                t_e = np.concatenate(trace_edge_ids)
-            else:
-                t_s = np.empty(0, dtype=np.int64)
-                t_e = np.empty(0, dtype=np.int64)
-            t_order = np.argsort(t_s, kind="stable")
-            t_sizes = np.bincount(t_s, minlength=batch)
-            trace_ptr = np.zeros(batch + 1, dtype=np.int64)
-            np.cumsum(t_sizes, out=trace_ptr[1:])
-            trace_edges = t_e[t_order].astype(np.int32, copy=False)
+        # Root first, then hop order; consumes all_s, so widths come first.
+        local_ptr, order = group_by_sample(all_s, batch)
+        trace_ptr, trace_edges = group_traces(trace_samples, trace_edge_ids, batch)
         # The scalar walk draws exactly |R| times (one per member, the last
         # draw being the one that stops it), so cost = |R| + draws = 2|R|.
         out.extend_arrays(
@@ -319,7 +305,7 @@ class LTRRSampler(RRSampler):
             ptr=local_ptr,
             nodes=all_v[order].astype(np.int32, copy=False),
             widths=widths,
-            costs=2 * sizes,
+            costs=2 * np.diff(local_ptr),
             trace_ptr=trace_ptr,
             trace_edges=trace_edges,
         )

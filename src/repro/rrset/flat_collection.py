@@ -85,14 +85,18 @@ def group_traces(
     """Trace CSR (``trace_ptr``, ``trace_edges``) of a sampled batch.
 
     The inputs are a batch sampler's per-wave chunks of (sample, in-CSR edge
-    id) pairs; each sample's edges keep their recording order.  ``(None,
-    None)`` when the sampler does not trace.
+    id) pairs; each sample's edges keep their recording order.  The lists
+    are consumed (emptied once concatenated, so the chunks are not alive
+    beside the copies through grouping).  ``(None, None)`` when the sampler
+    does not trace.
     """
     if trace_samples is None or trace_edge_ids is None:
         return None, None
     if trace_samples:
         samples = np.concatenate(trace_samples)
         edges = np.concatenate(trace_edge_ids)
+        trace_samples.clear()
+        trace_edge_ids.clear()
     else:
         samples = edges = np.empty(0, dtype=np.int64)
     trace_ptr, order = group_by_sample(samples, num_samples)

@@ -385,7 +385,7 @@ class ICRRSampler(RRSampler):
                 row_live[new_r] = True
                 visited[new_r, new_v] = stamp[new_r]
                 member_samples.append(new_s)
-                member_nodes.append(new_v)
+                member_nodes.append(new_v.astype(np.int32))
                 active_v = np.concatenate([active_v, new_v])
                 active_r = np.concatenate([active_r, new_r])
             if active_v.size == 0:
@@ -420,11 +420,11 @@ class ICRRSampler(RRSampler):
                     key = key[keep]
                 cand_r = key // id_dtype(n)
                 visited_flat[key] = stamp[cand_r]
-                cand_v = (key % id_dtype(n)).astype(np.int64, copy=False)
+                cand_v = (key % id_dtype(n)).astype(np.int32, copy=False)
                 member_samples.append(sample_of_row[cand_r])
                 member_nodes.append(cand_v)
             else:
-                cand_v = np.empty(0, dtype=np.int64)
+                cand_v = np.empty(0, dtype=np.int32)
                 cand_r = np.empty(0, dtype=id_dtype)
             # Rows whose frontier died this wave are recycled by advancing
             # their stamp, which un-visits every cell at once; a row whose
@@ -469,7 +469,7 @@ class ICRRSampler(RRSampler):
         sample_ids = np.arange(batch, dtype=np.int64)
         visited[sample_ids, chunk_roots] = 1
         member_samples = [sample_ids]
-        member_nodes = [chunk_roots]
+        member_nodes = [chunk_roots.astype(np.int32)]
         trace_samples: list[np.ndarray] | None = [] if self.trace_edges else None
         trace_edge_ids: list[np.ndarray] | None = [] if self.trace_edges else None
         # Depth-truncated width needs the running per-wave total: members
@@ -508,17 +508,16 @@ class ICRRSampler(RRSampler):
                 + hit_v.astype(id_dtype, copy=False)
             )
             cand_s = (key // id_dtype(n)).astype(np.int64, copy=False)
-            cand_v = (key % id_dtype(n)).astype(np.int64, copy=False)
+            cand_v = (key % id_dtype(n)).astype(np.int32, copy=False)
             visited[cand_s, cand_v] = 1
             member_samples.append(cand_s)
             member_nodes.append(cand_v)
             active_s, active_v = cand_s, cand_v
             depth += 1
 
-        all_s = np.concatenate(member_samples)
-        all_v = np.concatenate(member_nodes)
-        visited[all_s, all_v] = 0  # reset scratch for the next chunk
-        self._commit(chunk_roots, [all_s], [all_v], widths, out,
+        for wave_s, wave_v in zip(member_samples, member_nodes):
+            visited[wave_s, wave_v] = 0  # reset scratch for the next chunk
+        self._commit(chunk_roots, member_samples, member_nodes, widths, out,
                      trace_samples, trace_edge_ids)
 
     def _commit(
@@ -540,6 +539,10 @@ class ICRRSampler(RRSampler):
         batch = int(roots.size)
         all_s = member_samples[0] if len(member_samples) == 1 else np.concatenate(member_samples)
         all_v = member_nodes[0] if len(member_nodes) == 1 else np.concatenate(member_nodes)
+        # Drop the per-wave chunks now, so they are not alive beside the
+        # concatenated copies through grouping.
+        member_samples.clear()
+        member_nodes.clear()
         if widths is None:
             # Unbounded: w(R) = Σ in-degree over the final membership.
             widths = np.bincount(
@@ -628,7 +631,7 @@ class ICRRSampler(RRSampler):
                         queue.append((sample, row_id, source_node, level + 1))
         if extra_s:
             member_samples.append(np.asarray(extra_s, dtype=np.int64))
-            member_nodes.append(np.asarray(extra_v, dtype=np.int64))
+            member_nodes.append(np.asarray(extra_v, dtype=np.int32))
         if tracing and extra_ts:
             trace_samples.append(np.asarray(extra_ts, dtype=np.int64))
             trace_edge_ids.append(np.asarray(extra_te, dtype=np.int64))

@@ -183,7 +183,7 @@ class LTRRSampler(RRSampler):
         sample_ids = np.arange(batch, dtype=np.int64)
         visited[sample_ids, chunk_roots] = True
         member_samples = [sample_ids]
-        member_nodes = [chunk_roots]
+        member_nodes = [chunk_roots.astype(np.int32)]
         trace_samples: list[np.ndarray] | None = [] if self.trace_edges else None
         trace_edge_ids: list[np.ndarray] | None = [] if self.trace_edges else None
 
@@ -226,11 +226,15 @@ class LTRRSampler(RRSampler):
                 break
             visited[walk_s, parent] = True
             member_samples.append(walk_s)
-            member_nodes.append(parent)
+            member_nodes.append(parent.astype(np.int32))
             active_s, active_v = walk_s, parent
 
         all_s = np.concatenate(member_samples)
         all_v = np.concatenate(member_nodes)
+        # Drop the per-wave chunks now, so they are not alive beside the
+        # concatenated copies through grouping.
+        member_samples.clear()
+        member_nodes.clear()
         visited[all_s, all_v] = False  # reset scratch for the next chunk
         self._commit_chunk(chunk_roots, all_s, all_v, out, trace_samples, trace_edge_ids)
 
@@ -280,7 +284,7 @@ class LTRRSampler(RRSampler):
                 current = parent
         if extra_s:
             member_samples.append(np.asarray(extra_s, dtype=np.int64))
-            member_nodes.append(np.asarray(extra_v, dtype=np.int64))
+            member_nodes.append(np.asarray(extra_v, dtype=np.int32))
         if tracing and extra_ts:
             trace_samples.append(np.asarray(extra_ts, dtype=np.int64))
             trace_edge_ids.append(np.asarray(extra_te, dtype=np.int64))

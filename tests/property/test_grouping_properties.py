@@ -60,6 +60,7 @@ def test_group_traces_keeps_per_sample_recording_order():
     assert trace_ptr.tolist() == [0, 2, 5, 5]
     assert trace_edges.tolist() == [20, 21, 10, 11, 12]
     assert trace_edges.dtype == np.int32
+    assert samples == [] and edges == []  # the chunk lists are consumed
     empty_ptr, empty_edges = group_traces([], [], 2)
     assert empty_ptr.tolist() == [0, 0, 0] and empty_edges.size == 0
     assert group_traces(None, None, 2) == (None, None)

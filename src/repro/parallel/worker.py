@@ -52,7 +52,6 @@ def sampler_spec(sampler) -> dict | None:
             "use_fast_path": sampler.use_fast_path,
             "fast_path_min_degree": sampler.fast_path_min_degree,
             "max_depth": sampler.max_depth,
-            "use_geometric_skip": sampler.use_geometric_skip,
             "trace_edges": sampler.trace_edges,
         }
     if type(sampler) is LTRRSampler:
@@ -71,7 +70,6 @@ def build_sampler(graph, spec: dict):
             use_fast_path=spec["use_fast_path"],
             fast_path_min_degree=spec["fast_path_min_degree"],
             max_depth=spec["max_depth"],
-            use_geometric_skip=spec["use_geometric_skip"],
             trace_edges=spec.get("trace_edges", False),
         )
     if kind == "lt":

@@ -15,18 +15,19 @@ tests) can compare both implementations.
 
 Vectorised path (:meth:`ICRRSampler.sample_batch`): many RR sets are grown
 *simultaneously* as one level-synchronous reverse BFS over ``(sample,
-node)`` pairs.  Each wave gathers the in-edges of the whole frontier
-straight from ``DiGraph.in_ptr``/``in_idx``/``in_prob`` with a CSR
-range-gather, decides every coin in one ``rng.np.random(len(slice))`` call,
-and deduplicates newly reached pairs against a pool of visited rows (one
-per in-flight sample, recycled by generation stamp rather than wiped).
-Frontier nodes whose in-edges share one probability (the weighted-cascade
-common case) are additionally eligible for *geometric-skip* sampling: gaps
-between Bernoulli successes are Geometric(p), so for a run of ``T`` edges at
-probability ``p`` only ``≈ T·p`` geometric draws are needed instead of ``T``
-uniforms — same distribution, far fewer random numbers.  The whole batch is
-returned as a :class:`~repro.rrset.flat_collection.FlatRRCollection`, so no
-per-set Python objects are created on the hot path.
+node)`` pairs, read straight off ``DiGraph.in_ptr``/``in_idx``/``in_prob``,
+with newly reached pairs deduplicated against a pool of visited rows (one
+per in-flight sample, recycled by generation stamp rather than wiped).  A
+frontier node whose in-edges share one probability ``p`` — every node under
+the weighted-cascade convention, where ``p = 1/indeg`` — is expanded by
+*geometric skip*: the gaps between the live edges of its ``d`` in-edges are
+iid Geometric(p), so each pair walks a cursor through its own CSR slice
+with one draw per live edge plus the one that runs past the slice, ``≈ 1 +
+d·p`` draws instead of ``d`` coin flips.  Only nodes with mixed
+in-probabilities flip one coin per edge.  The scalar tail that finishes a
+batch's last few frontiers applies the same per-node rule.  The whole batch
+is returned as a :class:`~repro.rrset.flat_collection.FlatRRCollection`, so
+no per-set Python objects are created on the hot path.
 """
 
 from __future__ import annotations
@@ -45,37 +46,20 @@ from repro.utils.rng import RandomSource, resolve_rng
 __all__ = ["ICRRSampler"]
 
 
-def _geometric_positions(npgen, p: float, total: int) -> np.ndarray:
-    """Positions of successes in ``total`` iid Bernoulli(p) trials.
+def _skips(source: RandomSource, log_q: np.ndarray, width: int = 1) -> np.ndarray:
+    """Geometric(p) - 1 skips as floats: ``log1p(-U) / log1p(-p)``.
 
-    Exact skip sampling: gaps between successive successes (and before the
-    first) are iid Geometric(p), so drawing gaps and cumulative-summing them
-    visits only the ≈ ``total·p`` successes instead of all ``total`` trials.
-    Draws in slabs sized to overshoot the end with high probability; loops
-    when a slab falls short.
+    ``log_q`` holds ``log1p(-p)`` per pair (a column for ``width`` skips
+    per pair; ``-inf`` for ``p = 1`` gives skips of 0).  The float is
+    non-negative and its floor is the skip; it is ``+inf`` when ``p`` is
+    too small for a double.
     """
-    if total <= 0 or p <= 0.0:
-        return np.empty(0, dtype=np.int64)
-    if p >= 1.0:
-        return np.arange(total, dtype=np.int64)
-    chunks: list[np.ndarray] = []
-    last = -1  # position of the most recent success
-    while True:
-        remaining = total - (last + 1)
-        if remaining <= 0:
-            break
-        expected = remaining * p
-        slab = int(expected + 6.0 * math.sqrt(expected + 1.0) + 16.0)
-        gaps = npgen.geometric(p, size=slab)
-        positions = last + np.cumsum(gaps)
-        cut = int(np.searchsorted(positions, total))
-        chunks.append(positions[:cut])
-        if cut < positions.size:
-            break  # the slab crossed the end of the trial run: done
-        last = int(positions[-1])
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
+    shape = log_q.shape if width == 1 else (log_q.shape[0], width)
+    skip = source.np.random(shape)
+    np.negative(skip, out=skip)
+    np.log1p(skip, out=skip)
+    np.divide(skip, log_q, out=skip)
+    return skip
 
 
 class ICRRSampler(RRSampler):
@@ -87,13 +71,6 @@ class ICRRSampler(RRSampler):
     #: binomial draw costs about as much as ~30 plain ``random()`` calls, so
     #: below this the per-edge loop is faster (measured in bench_ablation).
     DEFAULT_FAST_PATH_MIN_DEGREE = 32
-
-    #: Minimum concatenated edge count of a same-probability frontier group
-    #: before geometric-skip sampling replaces per-edge uniform draws.  One
-    #: batched uniform draw costs ~1 ns/edge, so the grouping argsort plus
-    #: per-group python overhead only pays off for long same-p runs
-    #: (high-degree hubs or very homogeneous frontiers).
-    GEOMETRIC_SKIP_MIN_EDGES = 4096
 
     #: Upper bounds on the visited-row pool: at most this many one-byte
     #: cells (rows · n, i.e. at most 16 MiB of scratch) and at most this
@@ -109,13 +86,17 @@ class ICRRSampler(RRSampler):
     #: (long weighted-cascade chains) would otherwise pay it per level.
     TAIL_CUTOVER_PAIRS = 64
 
+    #: Single-skip geometric rounds per wave before the pairs still live
+    #: switch to doubling rows of skips (see :meth:`_expand_geometric`).
+    #: Under weighted cascade no pair is live this long.
+    GEOMETRIC_SINGLE_ROUNDS = 16
+
     def __init__(
         self,
         graph: DiGraph,
         use_fast_path: bool = True,
         fast_path_min_degree: int | None = None,
         max_depth: int | None = None,
-        use_geometric_skip: bool = True,
         trace_edges: bool = False,
     ):
         super().__init__(graph)
@@ -125,6 +106,8 @@ class ICRRSampler(RRSampler):
         #: edge id from state it already computes, so a traced run samples
         #: the exact same sets as an untraced one.
         self.trace_edges = bool(trace_edges)
+        #: Binomial subset draws in the scalar :meth:`sample_rooted` (the
+        #: vectorised path always uses geometric skip for uniform nodes).
         self.use_fast_path = use_fast_path
         if fast_path_min_degree is None:
             fast_path_min_degree = self.DEFAULT_FAST_PATH_MIN_DEGREE
@@ -134,22 +117,15 @@ class ICRRSampler(RRSampler):
         #: Depth truncation for the time-critical (bounded-horizon) IC model:
         #: a node enters the RR set only via live paths of length <= max_depth.
         self.max_depth = max_depth
-        #: Allow geometric-skip draws for uniform-probability frontier groups
-        #: in the vectorised path (off = pure per-edge batched coin flips).
-        self.use_geometric_skip = use_geometric_skip
-        #: Per node: the shared in-probability if uniform, NaN otherwise
-        #: (computed straight off the CSR arrays — no Python materialisation,
+        #: Per node: ``log1p(-p)`` of its shared in-probability ``p``
+        #: (``-inf`` for ``p = 1``), NaN when its in-probabilities are mixed,
+        #: and 0 when no in-edge can be live (``p = 0`` or no in-edge).
+        #: Computed straight off the CSR arrays — no Python materialisation,
         #: so pool workers sampling over a shared graph stay at the one-copy
-        #: memory footprint).
-        self._np_unif_p = self._uniform_in_probs()
-        finite = self._np_unif_p[np.isfinite(self._np_unif_p)]
-        #: Few distinct uniform probabilities (e.g. a constant-p graph) ⇒
-        #: frontier groups are large and geometric skip pays; many distinct
-        #: values (weighted cascade on a degree-diverse graph) ⇒ groups are
-        #: shards and only high-degree hubs are worth it.
-        self._distinct_uniform_probs = int(np.unique(finite).size)
-        in_deg = graph.in_degrees()
-        self._max_in_degree = int(in_deg.max()) if in_deg.size else 0
+        #: memory footprint.
+        with np.errstate(divide="ignore"):
+            self._np_log_q = np.log1p(-self._uniform_in_probs())
+        self._np_log_q[graph.in_degrees() == 0] = 0.0
         # Lazy caches: Python adjacency lists (scalar sample_rooted path
         # only), the shared-p list mirror, and the vector-path degree array.
         self._adj: tuple[list[list[int]], list[list[float]]] | None = None
@@ -180,7 +156,7 @@ class ICRRSampler(RRSampler):
     def _uniform_prob_list(self) -> list[float | None]:
         if self._uniform_list is None:
             self._uniform_list = [
-                None if math.isnan(p) else p for p in self._np_unif_p.tolist()
+                None if math.isnan(p) else p for p in self._uniform_in_probs().tolist()
             ]
         return self._uniform_list
 
@@ -581,10 +557,12 @@ class ICRRSampler(RRSampler):
         (long weighted-cascade chains) would otherwise pay it per level.
         Shares the driver's visited matrix: ``active_r`` names each pair's
         row and ``stamp`` the row's visited mark (``None``: the bounded
-        driver's plain 1).  Each expanded node's in-edges come straight off
-        the CSR slice (one ``tolist`` per node — deliberately *not* the full
-        cached adjacency, so pool workers never materialise the whole graph
-        as Python lists).  Coin order differs from the wave path but the
+        driver's plain 1).  Each expanded node's live in-edges are drawn by
+        the wave path's per-node rule — geometric skip through its CSR
+        slice when its in-edges share one ``p``, a coin per edge otherwise —
+        straight off the CSR arrays (deliberately *not* the full cached
+        adjacency, so pool workers never materialise the whole graph as
+        Python lists).  Draw order differs from the wave path but the
         sampled distribution is identical.  FIFO with explicit depths keeps
         ``max_depth`` truncation exact (see :meth:`_sample_rooted_bounded`).
         ``widths`` is only accumulated for the bounded driver; the streaming
@@ -593,10 +571,12 @@ class ICRRSampler(RRSampler):
         from collections import deque
 
         random01 = source.py.random
+        log1p = math.log1p
         graph = self.graph
         in_ptr = graph.in_ptr
         in_idx = graph.in_idx
         in_prob = graph.in_prob
+        log_qs = self._np_log_q
         max_depth = self.max_depth
         extra_s: list[int] = []
         extra_v: list[int] = []
@@ -612,23 +592,37 @@ class ICRRSampler(RRSampler):
             if max_depth is not None and level >= max_depth:
                 continue
             lo, hi = int(in_ptr[current]), int(in_ptr[current + 1])
-            neighbors = in_idx[lo:hi].tolist()
-            probs = in_prob[lo:hi].tolist()
             if widths is not None:
-                widths[sample] += len(neighbors)
+                widths[sample] += hi - lo
+            log_q = float(log_qs[current])
+            live: list[int] = []
+            if log_q < 0.0:
+                # Geometric skip, as in _expand_geometric: ``skip`` dead
+                # edges follow the cursor, then the next live one.
+                edge = lo - 1
+                while True:
+                    skip = log1p(-random01()) / log_q
+                    if skip >= hi - 1 - edge:
+                        break
+                    edge += 1 + int(skip)
+                    live.append(edge)
+            elif log_q != 0.0:  # NaN: mixed in-probabilities
+                probs = in_prob[lo:hi].tolist()
+                live = [lo + index for index, p in enumerate(probs) if random01() < p]
+            if not live:
+                continue
             row = visited[row_id]
             mark = 1 if stamp is None else int(stamp[row_id])
-            for index in range(len(neighbors)):
-                if random01() < probs[index]:
-                    if tracing:
-                        extra_ts.append(sample)
-                        extra_te.append(lo + index)
-                    source_node = neighbors[index]
-                    if row[source_node] != mark:
-                        row[source_node] = mark
-                        extra_s.append(sample)
-                        extra_v.append(source_node)
-                        queue.append((sample, row_id, source_node, level + 1))
+            for edge in live:
+                if tracing:
+                    extra_ts.append(sample)
+                    extra_te.append(edge)
+                source_node = int(in_idx[edge])
+                if row[source_node] != mark:
+                    row[source_node] = mark
+                    extra_s.append(sample)
+                    extra_v.append(source_node)
+                    queue.append((sample, row_id, source_node, level + 1))
         if extra_s:
             member_samples.append(np.asarray(extra_s, dtype=np.int64))
             member_nodes.append(np.asarray(extra_v, dtype=np.int32))
@@ -639,60 +633,34 @@ class ICRRSampler(RRSampler):
     def _expand_wave(
         self, active_v: np.ndarray, source: RandomSource
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """One frontier wave: flip every in-edge coin of ``active_v`` at once.
+        """One frontier wave: draw the live in-edges of every ``active_v``.
 
-        Returns ``(positions, source_nodes, edge_ids)`` of the successful
-        flips — ``positions`` index into ``active_v`` so callers can recover
-        the owning sample/row — undeduplicated.  ``edge_ids`` are the
-        successful coins' in-CSR positions when ``trace_edges`` is on
-        (``None`` otherwise; both sub-paths already compute them, so tracing
-        costs one extra gather and no extra randomness).  Uniform-probability
-        frontier groups with enough edges go through geometric-skip sampling;
-        the rest use one batched uniform draw over the concatenated CSR edge
-        slices.
+        Returns ``(positions, source_nodes, edge_ids)`` of the live edges —
+        ``positions`` index into ``active_v`` so callers can recover the
+        owning sample/row — undeduplicated.  ``edge_ids`` are the live
+        edges' in-CSR positions when ``trace_edges`` is on (``None``
+        otherwise; both sub-paths compute them anyway, so tracing draws no
+        extra randomness).  Nodes whose in-edges share one probability go
+        through :meth:`_expand_geometric`, nodes with mixed probabilities
+        through :meth:`_expand_per_edge`; ``p = 0`` nodes draw nothing.
         """
-        deg = self._np_in_deg[active_v]
-        positions = np.flatnonzero(deg > 0)
-        if positions.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, (empty if self.trace_edges else None)
+        log_q = self._np_log_q[active_v]
+        positions = np.flatnonzero(log_q != 0.0)
         if positions.size < active_v.size:
-            active_v, deg = active_v[positions], deg[positions]
-
-        skip_mask = np.zeros(active_v.size, dtype=bool)
-        # Grouping by probability costs an argsort per wave; only attempt it
-        # when the wave is big enough AND same-p runs can plausibly clear the
-        # per-group threshold: either the graph has few distinct uniform
-        # probabilities (groups span most of the wave) or it has genuine
-        # high-degree hubs (a single node is a long run by itself).
-        if (
-            self.use_geometric_skip
-            and self.use_fast_path
-            and int(deg.sum()) >= self.GEOMETRIC_SKIP_MIN_EDGES
-            and (
-                self._distinct_uniform_probs <= 8
-                or self._max_in_degree >= self.GEOMETRIC_SKIP_MIN_EDGES // 4
-            )
-        ):
-            skip_mask = np.isfinite(self._np_unif_p[active_v])
+            active_v, log_q = active_v[positions], log_q[positions]
         out_pos: list[np.ndarray] = []
         out_v: list[np.ndarray] = []
         out_e: list[np.ndarray] | None = [] if self.trace_edges else None
-        if skip_mask.any():
-            chosen = np.flatnonzero(skip_mask)
-            demoted = self._expand_uniform_groups(
-                positions[chosen], active_v[chosen], deg[chosen], source,
+        mixed = np.isnan(log_q)
+        if mixed.any():
+            mixed_v = active_v[mixed]
+            self._expand_per_edge(
+                positions[mixed], mixed_v, self._np_in_deg[mixed_v], source,
                 out_pos, out_v, out_e,
             )
-            if demoted is not None:
-                # Groups too small for skip sampling rejoin the flip path.
-                skip_mask[chosen[demoted]] = False
-        flip_mask = ~skip_mask
-        if flip_mask.any():
-            self._expand_per_edge(
-                positions[flip_mask], active_v[flip_mask], deg[flip_mask],
-                source, out_pos, out_v, out_e,
-            )
+            uniform = ~mixed
+            positions, active_v, log_q = positions[uniform], active_v[uniform], log_q[uniform]
+        self._expand_geometric(positions, active_v, log_q, source, out_pos, out_v, out_e)
         if not out_pos:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, (empty if self.trace_edges else None)
@@ -701,6 +669,60 @@ class ICRRSampler(RRSampler):
             np.concatenate(out_v),
             np.concatenate(out_e) if out_e is not None else None,
         )
+
+    def _expand_geometric(self, positions, frontier_v, log_q, source, out_pos, out_v,
+                          out_e=None) -> None:
+        """Geometric-skip expansion of uniform-probability frontier nodes.
+
+        A node's ``d`` in-edges, all live with one probability ``p``, are
+        ``d`` iid Bernoulli(p) trials, so the number of dead edges before
+        each live one is Geometric(p) - 1 = ``floor(log1p(-U) / log1p(-p))``.
+        Each (sample, node) pair keeps a cursor on its last live edge; a
+        round draws one skip per pair, moves every cursor that stays inside
+        its CSR slice and drops the rest, so a pair costs ``≈ 1 + d·p``
+        draws instead of ``d`` coins.  Rounds end when every pair has run
+        past its slice, so a wave takes one more round than its most live
+        edges in one slice — a handful under weighted cascade, where ``d·p
+        = 1``.  Pairs still live after ``GEOMETRIC_SINGLE_ROUNDS`` rounds
+        (high-degree nodes with a large ``d·p``) then draw a row of skips
+        per round, doubling its length each round, so the number of rounds
+        grows with the logarithm of their live edges.
+        """
+        graph = self.graph
+        in_idx = graph.in_idx
+        cursor = graph.in_ptr[frontier_v] - 1
+        last = graph.in_ptr[frontier_v + 1] - 1
+        for _ in range(self.GEOMETRIC_SINGLE_ROUNDS):
+            if positions.size == 0:
+                return
+            skip = _skips(source, log_q)
+            inside = np.flatnonzero(skip < last - cursor)
+            # New arrays each round: the appended ones are never written.
+            cursor = cursor[inside] + skip[inside].astype(np.int64) + 1
+            positions, last, log_q = positions[inside], last[inside], log_q[inside]
+            out_pos.append(positions)
+            out_v.append(in_idx[cursor])
+            if out_e is not None:
+                out_e.append(cursor)
+        width = 2
+        while positions.size:
+            skip = _skips(source, log_q[:, None], width)
+            # A skip this long leaves any slice; the cap keeps the sums in range.
+            np.minimum(skip, float(graph.m), out=skip)
+            edge = skip.astype(np.int64)
+            edge += 1
+            np.cumsum(edge, axis=1, out=edge)
+            edge += cursor[:, None]
+            inside = edge <= last[:, None]  # a prefix of each row
+            hits = edge[inside]
+            out_pos.append(np.repeat(positions, inside.sum(axis=1)))
+            out_v.append(in_idx[hits])
+            if out_e is not None:
+                out_e.append(hits)
+            alive = np.flatnonzero(inside[:, -1])
+            cursor = edge[alive, -1]
+            positions, last, log_q = positions[alive], last[alive], log_q[alive]
+            width *= 2
 
     def _expand_per_edge(self, positions, frontier_v, deg, source, out_pos, out_v,
                          out_e=None) -> None:
@@ -727,45 +749,3 @@ class ICRRSampler(RRSampler):
         out_v.append(graph.in_idx[success_edges])
         if out_e is not None:
             out_e.append(success_edges)
-
-    def _expand_uniform_groups(
-        self, positions, frontier_v, deg, source, out_pos, out_v, out_e=None
-    ) -> np.ndarray | None:
-        """Geometric-skip expansion for uniform-probability frontier nodes.
-
-        Nodes are grouped by their shared in-probability ``p``; within a
-        group the concatenated edge stream is a run of iid Bernoulli(p)
-        trials, so success positions are recovered from Geometric(p) gaps.
-        Returns indices (into the given frontier) of nodes whose group was
-        too small to benefit, or ``None`` when every group qualified.
-        """
-        graph = self.graph
-        probs = self._np_unif_p[frontier_v]
-        order = np.argsort(probs, kind="stable")
-        probs_sorted = probs[order]
-        group_starts = np.flatnonzero(np.r_[True, np.diff(probs_sorted) != 0])
-        group_ends = np.r_[group_starts[1:], probs_sorted.size]
-        demoted: list[np.ndarray] = []
-        for lo, hi in zip(group_starts, group_ends):
-            members = order[lo:hi]
-            group_deg = deg[members]
-            total = int(group_deg.sum())
-            p = float(probs_sorted[lo])
-            if total < self.GEOMETRIC_SKIP_MIN_EDGES:
-                demoted.append(members)
-                continue
-            success_at = _geometric_positions(source.np, p, total)
-            if success_at.size == 0:
-                continue
-            cum = np.cumsum(group_deg)
-            segment = np.searchsorted(cum, success_at, side="right")
-            local = success_at - (cum[segment] - group_deg[segment])
-            nodes = frontier_v[members]
-            success_edges = graph.in_ptr[nodes][segment] + local
-            out_pos.append(positions[members][segment])
-            out_v.append(graph.in_idx[success_edges])
-            if out_e is not None:
-                out_e.append(success_edges)
-        if not demoted:
-            return None
-        return np.concatenate(demoted)

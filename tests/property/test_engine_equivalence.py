@@ -78,21 +78,6 @@ class TestSamplerEquivalence:
             py_kappa = float(np.mean(1.0 - (1.0 - py_widths / m) ** k))
             assert batch.mean_kappa(k) == pytest.approx(py_kappa, rel=0.05, abs=5e-4)
 
-    def test_geometric_skip_on_off_equivalent(self, wc_graph):
-        """Skip sampling is exact: both variants draw the same distribution."""
-        on = ICRRSampler(wc_graph, use_geometric_skip=True)
-        # Force the skip path to actually engage on modest frontiers.
-        on.GEOMETRIC_SKIP_MIN_EDGES = 1
-        off = ICRRSampler(wc_graph, use_geometric_skip=False)
-        batch_on = on.sample_random_batch(NUM_SAMPLES, RandomSource(11))
-        batch_off = off.sample_random_batch(NUM_SAMPLES, RandomSource(12))
-        assert batch_on.set_sizes().mean() == pytest.approx(
-            batch_off.set_sizes().mean(), rel=0.05
-        )
-        assert batch_on.widths_array.mean() == pytest.approx(
-            batch_off.widths_array.mean(), rel=0.05
-        )
-
     def test_mixed_probability_graph(self):
         """Non-uniform in-probabilities exercise the per-edge flip path."""
         rng = np.random.default_rng(13)

@@ -110,13 +110,19 @@ def wc_graph():
 
 @pytest.fixture(scope="module")
 def mixed_graph():
-    """Even nodes: all in-edges share one p.  Odd nodes: per-edge p."""
+    """Even nodes: all in-edges share one p.  Odd nodes: per-edge p.
+
+    Node 0 is a hub whose ~50 expected live in-edges outlast the
+    single-skip geometric rounds.
+    """
     base = gnm_random_digraph(N, 1000, rng=12)
+    src = np.r_[base.src, np.arange(1, N)]
+    dst = np.r_[base.dst, np.zeros(N - 1, dtype=np.int64)]
     rng = np.random.default_rng(12)
-    indeg = np.bincount(base.dst, minlength=N)
-    prob = np.where(base.dst % 2 == 0, 1.5 / np.maximum(indeg[base.dst], 1),
-                    rng.uniform(0.02, 0.3, size=base.m))
-    return DiGraph(N, base.src, base.dst, np.minimum(prob, 1.0))
+    indeg = np.bincount(dst, minlength=N)
+    prob = np.where(dst % 2 == 0, 1.5 / indeg[dst], rng.uniform(0.02, 0.3, size=dst.size))
+    prob[dst == 0] = 0.25
+    return DiGraph(N, src, dst, np.minimum(prob, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +157,47 @@ def test_mixed_probability_nodes_match_reference(mixed_graph):
     sampler = ICRRSampler(mixed_graph, trace_edges=True)
     assert_same_distribution(mixed_graph, sampler.sample_batch(ROOTS, RandomSource(6)),
                              reference_sets(mixed_graph, ROOTS, seed=7))
+
+
+def live_closure(graph, root, live):
+    """Members and live edges when node ``v``'s in-edges are all live iff
+    ``live[v]`` (and all dead otherwise)."""
+    members, edges, queue = {root}, [], [root]
+    while queue:
+        node = queue.pop()
+        if not live[node]:
+            continue
+        for edge in range(int(graph.in_ptr[node]), int(graph.in_ptr[node + 1])):
+            edges.append(edge)
+            source = int(graph.in_idx[edge])
+            if source not in members:
+                members.add(source)
+                queue.append(source)
+    return members, sorted(edges)
+
+
+@pytest.mark.parametrize("path", ["wave", "tail"])
+@pytest.mark.parametrize("rule", ["p0", "p1", "alternating"])
+def test_certain_and_impossible_edges(rule, path, monkeypatch):
+    """Nodes whose in-edges all have p = 0 or all have p = 1.
+
+    p = 0 nodes draw nothing (a skip of log1p(-U)/log1p(-0) would divide by
+    zero); p = 1 nodes make every in-edge live.  The hub's in-degree keeps
+    some geometric rounds running past the per-edge cutover.
+    """
+    base = gnm_random_digraph(80, 400, rng=13)
+    src = np.r_[base.src, np.arange(1, 80)]
+    dst = np.r_[base.dst, np.zeros(79, dtype=np.int64)]  # node 0 is a hub
+    live = {"p0": np.zeros(80, dtype=bool), "p1": np.ones(80, dtype=bool),
+            "alternating": np.arange(80) % 2 == 0}[rule]
+    graph = DiGraph(80, src, dst, live[dst].astype(float))
+    if path == "tail":
+        monkeypatch.setattr(ICRRSampler, "TAIL_CUTOVER_PAIRS", 1 << 40)
+    roots = np.arange(400, dtype=np.int64) % 80
+    batch = ICRRSampler(graph, trace_edges=True).sample_batch(roots, RandomSource(8))
+    sets, traces = batch_groups(batch)
+    for root, members, edges in zip(roots.tolist(), sets, traces):
+        want_members, want_edges = live_closure(graph, root, live)
+        assert members[0] == root and len(members) == len(set(members))
+        assert set(members) == want_members
+        assert sorted(edges) == want_edges

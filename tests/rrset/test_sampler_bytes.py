@@ -49,7 +49,7 @@ def wc_graph():
 
 @pytest.fixture(scope="module")
 def const_graph():
-    # One shared p: frontier groups are long, so geometric skip engages.
+    # One p for every in-edge of the graph, not one per node.
     return constant_probability(gnm_random_digraph(N, M, rng=5), 0.05)
 
 
@@ -59,11 +59,11 @@ def lt_graph():
 
 
 GOLDEN = {
-    "ic": "cb2e9f888d4bce5fe3d2f36b10c6b670afe2a5d592b73b192b3e3c460aef89e3",
-    "ic-depth2": "2d0266283420752016f19531087201edffda7226ee72c5372e3132d8cd626675",
-    "ic-traced": "e1290d2b8b746cd97235aebbcd617e6e32a5769c0b0b33ae90839a12b6d43168",
-    "ic-traced-depth2": "b35d7027793ec1ca3688884ad897d99059d828a50c27e291856fd886862d7429",
-    "ic-geometric": "5c161a66427552bb746d6030329ce6e0b4b7f7621d1452107918588157ad54bf",
+    "ic": "5a85af2bfd09534f88c6d96eefefe04183759a3c4c23a0dfeea8918fea71083f",
+    "ic-depth2": "4e000c4f3fa243be546e8a821a80577065040e1ff59a8095a72b517e4239f4e5",
+    "ic-traced": "072f51facdc0fdfe66d22f4b05398ed4b6f20e174489487fbc86231824eaa1fd",
+    "ic-traced-depth2": "37451d5f656c3b49dad2b12623b1003f011ac21b0950edd770d2339241f818f6",
+    "ic-geometric": "9ec72eb9713b539c815990ff623d500d677f3f06322a51c21a2c608ab96e5de5",
     "lt": "b6aeb2e0c1a1ffd4da39f14e4ff20d531b36f2d29ebf79033b27cf8f2b6ab44a",
     "lt-traced": "95b1faf6a79c7c0dffef1bf64352b2c150014ac9891096628a44f47f605b7932",
 }
@@ -87,7 +87,7 @@ def test_sample_batch_bytes_are_pinned(case, request):
     assert digest(sampler.sample_batch(ROOTS, RandomSource(17))) == GOLDEN[case]
 
 
-STAMP_WRAP_GOLDEN = "31a0f8c3c3c7781d17b4288a93aca0d4e116e6111e5494d2a4c597260f23edef"
+STAMP_WRAP_GOLDEN = "9b0c77c69e3cd224ed21e95ea59316607b91720377085ac63cdf98341f8cb446"
 
 
 def test_row_reuse_past_stamp_wrap_keeps_bytes(wc_graph, monkeypatch):

@@ -51,8 +51,8 @@ def _skips(source: RandomSource, log_q: np.ndarray, width: int = 1) -> np.ndarra
 
     ``log_q`` holds ``log1p(-p)`` per pair (a column for ``width`` skips
     per pair; ``-inf`` for ``p = 1`` gives skips of 0).  The float is
-    non-negative and its floor is the skip; it is ``+inf`` when ``p`` is
-    too small for a double.
+    non-negative and its floor is the skip; for a ``p`` so small that the
+    quotient leaves the double range it is ``+inf``.
     """
     shape = log_q.shape if width == 1 else (log_q.shape[0], width)
     skip = source.np.random(shape)
